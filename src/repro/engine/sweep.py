@@ -64,6 +64,7 @@ from repro.lint import contracts
 from repro.obs import records as _obs
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import JsonlSink, Tracer
+from repro.workloads.memo import trace_memo_scope
 
 
 @dataclass
@@ -309,10 +310,14 @@ def sweep_outcomes(jobs: Sequence[Job],
                  if ctx.guard else None)
         started = ctx.clock() if ctx.clock is not None else None
         try:
-            computed = run_with_policy(
-                ctx.executor, pending, eff, sleep=ctx.sleep,
-                on_outcome=checkpoint, stats=stats, tracer=tracer,
-                guard=guard)
+            # Cells of one batch share their traces (see
+            # repro.workloads.memo); pool workers forked inside the scope
+            # inherit it, and it is emptied when the batch ends.
+            with trace_memo_scope():
+                computed = run_with_policy(
+                    ctx.executor, pending, eff, sleep=ctx.sleep,
+                    on_outcome=checkpoint, stats=stats, tracer=tracer,
+                    guard=guard)
         finally:
             if started is not None:
                 stats.sim_seconds += ctx.clock() - started

@@ -40,6 +40,7 @@ from repro.sim.core import BACKENDS, InvocationResult, Simulator
 from repro.sim.params import MachineParams
 from repro.sim.simulate import simulate
 from repro.workloads.function import FunctionModel
+from repro.workloads.memo import active_trace_memo
 from repro.workloads.profiles import FunctionProfile
 from repro.workloads.trace import InvocationTrace
 
@@ -121,14 +122,30 @@ class SequenceResult:
         return sum(r.mpki(level, kind) for r in self.results) / len(self.results)
 
 
+def _scaled_profile(profile: FunctionProfile,
+                    cfg: RunConfig) -> FunctionProfile:
+    if math.isclose(cfg.instruction_scale, 1.0, rel_tol=1e-12):
+        return profile
+    return profile.scaled(cfg.instruction_scale)
+
+
 def make_model(profile: FunctionProfile, cfg: RunConfig) -> FunctionModel:
     """Build the (possibly scaled) trace generator for one function."""
-    if not math.isclose(cfg.instruction_scale, 1.0, rel_tol=1e-12):
-        profile = profile.scaled(cfg.instruction_scale)
-    return FunctionModel(profile, seed=cfg.seed)
+    return FunctionModel(_scaled_profile(profile, cfg), seed=cfg.seed)
 
 
 def make_traces(profile: FunctionProfile, cfg: RunConfig) -> List[InvocationTrace]:
+    """The ``cfg.invocations`` read-only traces of one function.
+
+    Inside a sweep they come from the sweep's
+    :class:`~repro.workloads.memo.TraceMemo`, so cells sharing a
+    ``(scaled profile, seed)`` share one recording; outside any sweep
+    they are generated afresh.  Either way the traces are identical.
+    """
+    memo = active_trace_memo()
+    if memo is not None:
+        return memo.traces(_scaled_profile(profile, cfg), cfg.seed,
+                           cfg.invocations)
     model = make_model(profile, cfg)
     return [model.invocation_trace(i) for i in range(cfg.invocations)]
 

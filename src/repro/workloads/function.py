@@ -24,8 +24,9 @@ processes a request (Sec. 4.3):
 from __future__ import annotations
 
 import zlib
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -74,7 +75,9 @@ class FunctionModel:
         )
         rng = np.random.default_rng(layout_seed + 1)
         self._spine = self._build_spine(rng)
-        self._hot = [seg for seg in self._spine if seg.hot and not seg.optional]
+        #: Spine positions of the mandatory hot segments.
+        self._hot = [pos for pos, seg in enumerate(self._spine)
+                     if seg.hot and not seg.optional]
         self._loop_hosts = self._pick_loop_hosts(rng)
         self._branch_pcs = self._assign_branch_sites(rng)
         self._data_blocks = self._build_data_arena()
@@ -84,6 +87,7 @@ class FunctionModel:
             pc: float(np.clip(rng.normal(profile.branch_bias, 0.05), 0.55, 0.98))
             for pc in self._branch_pcs
         }
+        self._segment_sites = self._index_segment_sites()
 
     # ------------------------------------------------------------------
     # Static structure
@@ -125,6 +129,22 @@ class FunctionModel:
             pcs.extend(int(seg.blocks[int(o)]) + 16 for o in offsets)
         return pcs
 
+    def _index_segment_sites(self) -> List[Tuple[Tuple[int, float], ...]]:
+        """Per spine position, the segment's ``(pc, bias)`` branch sites
+        in ``_branch_pcs`` order: every site within ``[first block, last
+        block + LINE_SIZE]``.  Indexed by position rather than keyed by
+        name, since segment names are not guaranteed unique."""
+        pcs = self._branch_pcs
+        order = sorted(range(len(pcs)), key=pcs.__getitem__)
+        sorted_pcs = [pcs[i] for i in order]
+        sites = []
+        for seg in self._spine:
+            lo = bisect_left(sorted_pcs, seg.blocks[0])
+            hi = bisect_right(sorted_pcs, seg.blocks[-1] + LINE_SIZE)
+            sites.append(tuple((pcs[i], self._site_bias[pcs[i]])
+                               for i in sorted(order[lo:hi])))
+        return sites
+
     def _build_data_arena(self) -> np.ndarray:
         n_blocks = max(64, self.profile.data_ws_bytes // LINE_SIZE)
         base = DATA_BASE + (_stable_seed(self.profile.abbrev, self.seed,
@@ -143,7 +163,9 @@ class FunctionModel:
         )
         builder = TraceBuilder()
 
-        executed = [seg for seg in self._spine
+        spine = self._spine
+        # Spine positions of this invocation's segments.
+        executed = [pos for pos, seg in enumerate(spine)
                     if not seg.optional or rng.random() < profile.optional_include_prob]
         phases = self._partition_phases(executed, profile.phases)
 
@@ -155,9 +177,10 @@ class FunctionModel:
         # sum(blocks) * insts_per_block; hot segments recur in every phase.
         hot_scale = 1.6  # hot segments are revisited more (see _sample_visits)
         base_cost = sum(
-            seg.n_blocks * (hot_scale if seg.hot else 1.0) for seg in executed
+            spine[pos].n_blocks * (hot_scale if spine[pos].hot else 1.0)
+            for pos in executed
         )
-        hot_cost = sum(seg.n_blocks * hot_scale for seg in self._hot)
+        hot_cost = sum(spine[pos].n_blocks * hot_scale for pos in self._hot)
         pass_cost = (base_cost + hot_cost * max(0, len(phases) - 1)) \
             * profile.insts_per_block
         mean_visits = max(1.0, walk_budget / max(1.0, pass_cost))
@@ -173,16 +196,17 @@ class FunctionModel:
         # Hot data (stack / connection state) reused across phases.
         hot_data = data_blocks[: max(8, n_data // 16)]
 
-        for phase_idx, phase_segments in enumerate(phases):
-            segs = list(phase_segments)
+        for phase_idx, phase_positions in enumerate(phases):
+            positions = list(phase_positions)
             if phase_idx > 0:
-                segs.extend(self._hot)
-            for seg in segs:
+                positions.extend(self._hot)
+            for pos in positions:
+                seg = spine[pos]
                 visits = self._sample_visits(rng, mean_visits, seg.hot)
                 self._walk_segment(builder, seg, visits, rng)
                 for spec in loops_by_segment.pop(seg.name, ()):
                     builder.loop(spec)
-                self._emit_branch_burst(builder, seg, visits, rng)
+                self._emit_branch_burst(builder, pos, visits)
                 data_cursor = self._emit_data_burst(
                     builder, rng, data_blocks, hot_data, data_cursor,
                     n_events=max(1, int(seg.n_blocks * visits * 0.30)),
@@ -197,11 +221,11 @@ class FunctionModel:
     # -- helpers -------------------------------------------------------
 
     @staticmethod
-    def _partition_phases(segments: List[CodeSegment],
-                          n_phases: int) -> List[List[CodeSegment]]:
-        n_phases = max(1, min(n_phases, len(segments)))
-        size = -(-len(segments) // n_phases)
-        return [segments[i:i + size] for i in range(0, len(segments), size)]
+    def _partition_phases(positions: List[int],
+                          n_phases: int) -> List[List[int]]:
+        n_phases = max(1, min(n_phases, len(positions)))
+        size = -(-len(positions) // n_phases)
+        return [positions[i:i + size] for i in range(0, len(positions), size)]
 
     @staticmethod
     def _sample_visits(rng: np.random.Generator, mean_visits: float,
@@ -221,15 +245,14 @@ class FunctionModel:
                 taken = 1 if (j & 1) else 0
                 builder.fetch(addr, max(2, insts), taken)
 
-    def _emit_branch_burst(self, builder: TraceBuilder, seg: CodeSegment,
-                           visits: int, rng: np.random.Generator) -> None:
-        sites = [pc for pc in self._branch_pcs
-                 if seg.blocks[0] <= pc <= seg.blocks[-1] + LINE_SIZE]
+    def _emit_branch_burst(self, builder: TraceBuilder, pos: int,
+                           visits: int) -> None:
+        sites = self._segment_sites[pos]
         if not sites:
             return
-        execs = max(1, visits * seg.n_blocks // max(1, len(sites)))
-        for pc in sites:
-            builder.branch_site(pc, execs, self._site_bias[pc])
+        execs = max(1, visits * self._spine[pos].n_blocks // len(sites))
+        for pc, bias in sites:
+            builder.branch_site(pc, execs, bias)
 
     def _emit_data_burst(self, builder: TraceBuilder, rng: np.random.Generator,
                          data_blocks: np.ndarray, hot_data: np.ndarray,

@@ -102,8 +102,17 @@ class InvocationTrace:
 
     def columnar(self) -> "ColumnarTrace":
         """The columnar IR of this trace, built once and cached on the
-        trace object (never in module state, so sweeps stay deterministic
-        and workers stay independent)."""
+        trace object.
+
+        The cache lives on the trace, never in module state.  The only
+        place a trace outlives its cell is the sweep-scoped
+        :class:`~repro.workloads.memo.TraceMemo`, which shares it (and so
+        this IR) with the other cells of one sweep batch.  That memo is
+        scoped to the batch, holds one trace key at a time and is emptied
+        when the batch ends, so no state leaks from one sweep into the
+        next and each pool worker holds only its own copy: serial,
+        pooled and repeated runs still compute the same cells from the
+        same inputs."""
         if self._columnar is None:
             self._columnar = ColumnarTrace.from_trace(self)
         return self._columnar
@@ -503,14 +512,21 @@ class TraceBuilder:
             self.fetch(addr, insts_per_block, taken_branches_per_block)
 
     def build(self) -> InvocationTrace:
-        """Freeze the builder into an immutable-ish trace."""
-        return InvocationTrace(
-            kinds=np.asarray(self._kinds, dtype=np.uint8),
-            addrs=np.asarray(self._addrs, dtype=np.int64),
-            args=np.asarray(self._args, dtype=np.int64),
-            args2=np.asarray(self._args2, dtype=np.int64),
-            loops=list(self._loops),
-        )
+        """Freeze the builder into a trace with read-only event arrays.
+
+        A sweep shares each trace across its cells (see
+        :mod:`repro.workloads.memo`), so a consumer writing into one must
+        fail loudly rather than change what a later cell simulates.
+        """
+        columns = (np.asarray(self._kinds, dtype=np.uint8),
+                   np.asarray(self._addrs, dtype=np.int64),
+                   np.asarray(self._args, dtype=np.int64),
+                   np.asarray(self._args2, dtype=np.int64))
+        for column in columns:
+            column.flags.writeable = False
+        kinds, addrs, args, args2 = columns
+        return InvocationTrace(kinds=kinds, addrs=addrs, args=args,
+                               args2=args2, loops=list(self._loops))
 
     def __len__(self) -> int:
         return len(self._kinds)

@@ -48,3 +48,23 @@ def build_diff_numeric(profile: Any, machine: Any, cfg: Any,
         "draws": [round(rng.random(), 12) for _ in range(4)],
         "opts": dict(sorted(opts.items())),
     }
+
+
+@register_config("trace_memo_probe")
+def build_trace_memo_probe(profile: Any, machine: Any, cfg: Any,
+                           fail: bool = False, **opts: Any) -> Dict[str, Any]:
+    """Build a cell's traces, then report the sweep's trace memo as seen
+    from inside the cell (``memo_keys`` is ``None`` outside a sweep);
+    ``fail=True`` raises after the traces are memoized."""
+    from repro.experiments.common import make_traces
+    from repro.workloads.memo import active_trace_memo
+
+    traces = make_traces(profile, cfg)
+    if fail:
+        raise RuntimeError("trace_memo_probe: requested failure")
+    memo = active_trace_memo()
+    return {
+        "abbrev": profile.abbrev,
+        "events": sum(len(t) for t in traces),
+        "memo_keys": None if memo is None else len(memo),
+    }

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.units import LINE_SIZE
 from repro.workloads.function import FunctionModel
 from repro.workloads.trace import BRANCH, IFETCH, LOAD, LOOP, STORE
 
@@ -14,6 +15,16 @@ class TestTraceGeneration:
         t2 = m2.invocation_trace(5)
         assert (t1.kinds == t2.kinds).all()
         assert (t1.addrs == t2.addrs).all()
+
+    def test_segment_site_index_matches_a_full_scan(self, tiny_model):
+        """The per-segment branch-site index equals rescanning every
+        branch PC against the segment's range, in the same order."""
+        model = tiny_model
+        for seg, sites in zip(model._spine, model._segment_sites,
+                              strict=True):
+            scan = [pc for pc in model._branch_pcs
+                    if seg.blocks[0] <= pc <= seg.blocks[-1] + LINE_SIZE]
+            assert [pc for pc, _ in sites] == scan
 
     def test_different_invocations_differ(self, tiny_model):
         t0 = tiny_model.invocation_trace(0)

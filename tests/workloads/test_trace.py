@@ -58,6 +58,17 @@ class TestTraceBuilder:
         with pytest.raises(TraceError):
             TraceBuilder().load(CODE, count=0)
 
+    def test_built_trace_is_read_only(self):
+        """Sweeps share traces across cells, so writes must raise."""
+        b = TraceBuilder()
+        b.fetch(CODE, insts=4)
+        b.load(CODE + 0x10000, count=2)
+        trace = b.build()
+        for column in (trace.kinds, trace.addrs, trace.args, trace.args2):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1
+        assert trace.addrs[0] == CODE
+
     def test_extend_walk(self):
         b = TraceBuilder()
         blocks = [CODE + i * LINE_SIZE for i in range(5)]
